@@ -121,29 +121,3 @@ class Box:
             ranges[d] = ranking.attr_map(d).unit_range_to_raw(r)
         return QuerySpec(ranges)
 
-
-def contour_cover(box: Box, ranking: LinearRanking, s: float, *, max_boxes: int = 64) -> list[Box]:
-    """Cover ``box`` intersected with the half-space ``score <= s`` by boxes.
-
-    Recursive: a box entirely below the contour is kept whole; one entirely
-    above is dropped; otherwise split on the widest dimension. Used to seed
-    MD-BASELINE's broad covering queries.
-    """
-    w = {d: ranking.internal_weight(d) for d in box.dims}
-    out: list[Box] = []
-    stack = [box]
-    while stack:
-        b = stack.pop()
-        if b.is_empty():
-            continue
-        if b.min_score(w) > s:
-            continue
-        # stop splitting at the cap or at float resolution: a sliver
-        # straddling the contour would otherwise split into itself forever
-        # ((lo+hi)/2 == hi once the width underflows)
-        if b.max_score(w) <= s or b.max_width() <= 1e-9 or len(out) + len(stack) >= max_boxes:
-            out.append(b)
-            continue
-        left, right = b.split_widest()
-        stack.extend([b2 for b2 in (left, right) if not b2.is_empty()])
-    return out

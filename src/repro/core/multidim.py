@@ -24,13 +24,13 @@ tuple in the user's ranking.
 """
 from __future__ import annotations
 
-from abc import ABC
 from typing import Mapping, Optional
 
-from ..webdb.crawler import crawl
+from ..webdb.crawler import crawl  # noqa: F401 - perfbench/tracing.py patches this name
 from ..webdb.interface import Row, WebDB
 from ..webdb.predicates import QuerySpec
 from ..webdb.ranking import LinearRanking
+from .algorithm import RerankAlgorithm
 from .dense_index import DenseIndex
 from .geometry import Box
 from .onedim import MACHINE_EPS
@@ -46,7 +46,7 @@ class MDBudgetExceeded(RuntimeError):
         self.best = best
 
 
-class MDAlgorithm(ABC):
+class MDAlgorithm(RerankAlgorithm):
     """Common box-queue frame for the three MD get-next algorithms."""
 
     name = "md"
@@ -54,7 +54,6 @@ class MDAlgorithm(ABC):
     #: "only as a termination guard" (BASELINE/BINARY), larger means
     #: on-the-fly dense indexing (RERANK)
     crawl_width = MACHINE_EPS
-    index_crawls = False
     #: when an iteration has a single live box, also issue its children
     #: speculatively in the same parallel batch (section II-B: "this may,
     #: sometimes, increase the number of queries issued to the web database")
@@ -68,9 +67,7 @@ class MDAlgorithm(ABC):
         dense_index: Optional[DenseIndex] = None,
         max_queries: Optional[int] = None,
     ):
-        self.db = db
-        self.bounds = dict(bounds)
-        self.dense_index = dense_index
+        super().__init__(db, bounds, dense_index=dense_index)
         self.max_queries = max_queries
 
     # ----- public primitive ---------------------------------------------
@@ -78,7 +75,7 @@ class MDAlgorithm(ABC):
         """Deliver the next-best undelivered tuple, or None when exhausted."""
         if len(ranking.attrs) < 2:
             raise ValueError("MD algorithm requires >= 2 ranking attributes")
-        ctx = session.ctx_md(ranking)
+        ctx = session.context("md", ranking, ContextMD)
         w = {d: ranking.internal_weight(d) for d in ranking.attrs}
         budget_start = self.db.stats.n_queries
         best = session.best_undelivered(
@@ -103,54 +100,18 @@ class MDAlgorithm(ABC):
                 live.append(box)
             if not live:
                 break
-            # dense-index hits and session-cached responses are free
-            pending: list[tuple[Box, QuerySpec]] = []
-            ready: list[tuple[Box, QuerySpec, list, bool]] = []
-            for box in live:
-                spec = session.filter_spec.merged(box.to_spec(ranking))
-                hit = (
-                    self.dense_index.rows_matching(spec)
-                    if self.dense_index is not None
-                    else None
-                )
-                if hit is not None:
-                    session.absorb(hit)
-                    ctx.add(box)
-                    continue
-                cached = session.query_cache.get(spec.to_sql())
-                if cached is not None:
-                    ready.append((box, spec, cached[0], cached[1]))
-                else:
-                    pending.append((box, spec))
-            # one parallel iteration over the genuinely new queries (Fig. 2);
-            # a lone query gets its box's children added speculatively so the
-            # web-database round-trip is still parallel
-            speculative: list[tuple[Box, QuerySpec]] = []
-            if self.speculate and len(pending) == 1:
-                for child in pending[0][0].split_widest():
-                    if child.is_empty():
-                        continue
-                    cspec = session.filter_spec.merged(child.to_spec(ranking))
-                    if cspec.to_sql() not in session.query_cache:
-                        speculative.append((child, cspec))
-            batch = pending + speculative
-            results = self.db.query_batch([s for _, s in batch])
-            for (box, spec), (rows, overflow) in zip(batch, results):
-                session.query_cache[spec.to_sql()] = (rows, overflow)
-            for (box, spec) in pending:
-                rows, overflow = session.query_cache[spec.to_sql()]
-                ready.append((box, spec, rows, overflow))
+            # one iteration: free answers first, the rest as one parallel batch (Fig. 2)
+            specs = [session.filter_spec.merged(box.to_spec(ranking)) for box in live]
+            results = self._fetch(
+                session, specs, lambda missed: self._speculative(session, ranking, live, missed)
+            )
             queue = []
-            for box, spec, rows, overflow in ready:
-                session.absorb(rows)
+            for box, spec, (_, overflow) in zip(live, specs, results):
                 if not overflow:
                     ctx.add(box)
                     continue
                 if box.max_width() <= self.crawl_width:
-                    res = crawl(self.db, spec, self.bounds)
-                    session.absorb(res.rows.values())
-                    if self.index_crawls and self.dense_index is not None:
-                        self.dense_index.add(spec, res.rows)
+                    self._crawl(session, spec)
                     ctx.add(box)
                     continue
                 queue.extend(self._narrow(box, ranking, best_s))
@@ -161,15 +122,15 @@ class MDAlgorithm(ABC):
             return None
         return session.deliver(best)
 
-    def get_top_h(self, session: Session, ranking: LinearRanking, h: int) -> list[Row]:
-        """Deliver the next ``h`` tuples (repeated get-next)."""
-        out = []
-        for _ in range(h):
-            r = self.get_next(session, ranking)
-            if r is None:
-                break
-            out.append(r)
-        return out
+    def _speculative(self, session, ranking, boxes, missed) -> list[QuerySpec]:
+        """A lone web-database query gets its box's children added to the
+        same batch, so the round trip is still parallel."""
+        if not self.speculate or len(missed) != 1:
+            return []
+        children = boxes[missed[0]].split_widest()
+        return [
+            session.filter_spec.merged(c.to_spec(ranking)) for c in children if not c.is_empty()
+        ]
 
     # ----- per-algorithm narrowing ---------------------------------------
     def _narrow(self, box: Box, ranking: LinearRanking, best_s: Optional[float]) -> list[Box]:

@@ -27,13 +27,14 @@ is exhausted does it search ``(F, 1]``:
 """
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Mapping, Optional
+from abc import abstractmethod
+from typing import Optional
 
-from ..webdb.crawler import crawl
-from ..webdb.interface import Row, WebDB
+from ..webdb.crawler import crawl  # noqa: F401 - perfbench/tracing.py patches this name
+from ..webdb.interface import Row
 from ..webdb.predicates import QuerySpec, Range, point
 from ..webdb.ranking import LinearRanking
+from .algorithm import RerankAlgorithm
 from .dense_index import DenseIndex
 from .session import Context1D, Session
 
@@ -41,29 +42,16 @@ from .session import Context1D, Session
 MACHINE_EPS = 1e-9
 
 
-class OneDAlgorithm(ABC):
+class OneDAlgorithm(RerankAlgorithm):
     """Common frame for the three 1-D get-next algorithms."""
 
     name = "1d"
 
-    def __init__(
-        self,
-        db: WebDB,
-        bounds: Mapping[str, tuple[float, float]],
-        *,
-        dense_index: Optional[DenseIndex] = None,
-    ):
-        self.db = db
-        #: attribute domains used by the crawler for splitting (discovered
-        #: once per source through the public interface)
-        self.bounds = dict(bounds)
-        self.dense_index = dense_index
-
     # ----- public primitive ---------------------------------------------
     def get_next(self, session: Session, ranking: LinearRanking) -> Optional[Row]:
         """Deliver the next-best undelivered tuple, or None when exhausted."""
-        attr = self._attr(ranking)
-        ctx = session.ctx_1d(ranking)
+        self._attr(ranking)  # rejects multi-attribute rankings
+        ctx = session.context("1d", ranking, Context1D)
         cand = self._pool_candidate(session, ranking, ctx)
         if cand is not None:
             return session.deliver(cand)
@@ -73,16 +61,6 @@ class OneDAlgorithm(ABC):
         if row is None:
             return None
         return session.deliver(row)
-
-    def get_top_h(self, session: Session, ranking: LinearRanking, h: int) -> list[Row]:
-        """Deliver the next ``h`` tuples (repeated get-next)."""
-        out = []
-        for _ in range(h):
-            r = self.get_next(session, ranking)
-            if r is None:
-                break
-            out.append(r)
-        return out
 
     # ----- shared helpers -------------------------------------------------
     @staticmethod
@@ -108,36 +86,7 @@ class OneDAlgorithm(ABC):
         amap = ranking.attr_map(self._attr(ranking))
         return session.filter_spec.with_range(amap.attr, amap.unit_range_to_raw(r))
 
-    def _fetch(self, session, spec: QuerySpec):
-        """Query with dense-index short-circuit.
-
-        Returns (rows, overflow, from_index); an index hit is free and
-        complete (overflow False).
-        """
-        if self.dense_index is not None:
-            hit = self.dense_index.rows_matching(spec)
-            if hit is not None:
-                session.absorb(hit)
-                return hit, False, True
-        rows, overflow = self.db.query(spec)
-        session.absorb(rows)
-        return rows, overflow, False
-
-    def _crawl_region(self, session, spec: QuerySpec, *, index_it: bool) -> list[Row]:
-        """Fully enumerate ``spec`` via the crawler; optionally index it."""
-        if self.dense_index is not None:
-            hit = self.dense_index.rows_matching(spec)
-            if hit is not None:
-                session.absorb(hit)
-                return hit
-        result = crawl(self.db, spec, self.bounds)
-        rows = list(result.rows.values())
-        session.absorb(rows)
-        if index_it and self.dense_index is not None:
-            self.dense_index.add(spec, result.rows)
-        return rows
-
-    def _resolve_point(self, session, ranking, v_raw: float, *, index_it: bool) -> None:
+    def _resolve_point(self, session, ranking, v_raw: float) -> None:
         """Enumerate every tuple whose ranked attribute equals ``v_raw``.
 
         Handles duplicate values (> system-k tuples sharing one value): a
@@ -147,9 +96,9 @@ class OneDAlgorithm(ABC):
         """
         amap = ranking.attr_map(self._attr(ranking))
         spec = session.filter_spec.with_range(amap.attr, point(v_raw))
-        rows, overflow, _ = self._fetch(session, spec)
+        [(_, overflow)] = self._fetch(session, [spec])
         if overflow:
-            self._crawl_region(session, spec, index_it=index_it)
+            self._crawl(session, spec)
 
     def _finish(self, session, ranking, ctx: Context1D, new_frontier: float) -> Optional[Row]:
         """Advance the frontier and return the best candidate under it."""
@@ -199,13 +148,13 @@ class OneDBaseline(OneDAlgorithm):
             if spec.is_empty():
                 rows, overflow = [], False
             else:
-                rows, overflow, _ = self._fetch(session, spec)
+                [(rows, overflow)] = self._fetch(session, [spec])
             if not overflow:
                 if hi_raw is None:  # searched all the way to the top of the axis
                     return self._finish(session, ranking, ctx, 1.0)
                 # everything strictly before hi_raw is known; enumerate the
                 # duplicates at the boundary value itself, then advance
-                self._resolve_point(session, ranking, hi_raw, index_it=False)
+                self._resolve_point(session, ranking, hi_raw)
                 ctx.frontier_raw = hi_raw
                 return self._finish(session, ranking, ctx, amap.to_unit(hi_raw))
             best_row = min(rows, key=lambda r: amap.to_unit(r[amap.attr]))
@@ -219,7 +168,6 @@ class OneDBinary(OneDAlgorithm):
     #: overflowing intervals narrower than this are crawled (termination);
     #: BINARY's crawls are NOT indexed, so other sessions re-pay them.
     crawl_width = MACHINE_EPS
-    index_crawls = False
 
     def _search(self, session, ranking, ctx):
         # stack of (lo, lo_incl, hi, hi_incl); right pushed first so the
@@ -234,7 +182,7 @@ class OneDBinary(OneDAlgorithm):
                     return cand
                 continue
             spec = self._interval_spec(session, ranking, interval)
-            rows, overflow, _ = self._fetch(session, spec)
+            [(_, overflow)] = self._fetch(session, [spec])
             if not overflow:
                 cand = self._finish(session, ranking, ctx, hi)
                 if cand is not None:
@@ -242,7 +190,7 @@ class OneDBinary(OneDAlgorithm):
                 continue
             if hi - lo <= self.crawl_width:
                 # dense region: halving has stopped paying off — crawl it
-                self._crawl_region(session, spec, index_it=self.index_crawls)
+                self._crawl(session, spec)
                 cand = self._finish(session, ranking, ctx, hi)
                 if cand is not None:
                     return cand

@@ -8,7 +8,7 @@ subsequent get-next calls reuse earlier work instead of re-querying.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Optional
 
 from ..webdb.interface import Row
 from ..webdb.predicates import QuerySpec
@@ -103,22 +103,9 @@ class Session:
         return best
 
     # ----- contexts ------------------------------------------------------
-    def ctx_1d(self, ranking: LinearRanking) -> Context1D:
-        """Frontier state for a 1-D ranking (per ranking signature)."""
-        key = ("1d", ranking.signature())
-        if key not in self._ctx:
-            self._ctx[key] = Context1D()
-        return self._ctx[key]
-
-    def ctx_md(self, ranking: LinearRanking) -> ContextMD:
-        """Certified-box state for an MD ranking."""
-        key = ("md", ranking.signature())
-        if key not in self._ctx:
-            self._ctx[key] = ContextMD()
-        return self._ctx[key]
-
-    def ctx_named(self, kind: str, ranking: LinearRanking, factory):
-        """Generic context slot (used by MD-TA stream state)."""
+    def context(self, kind: str, ranking: LinearRanking, factory):
+        """Search state of one algorithm family (``kind``) for one ranking
+        signature; ``factory()`` builds it on first use."""
         key = (kind, ranking.signature())
         if key not in self._ctx:
             self._ctx[key] = factory()

@@ -19,7 +19,9 @@ from typing import Mapping, Optional
 
 from ..webdb.interface import Row, WebDB
 from ..webdb.ranking import LinearRanking, one_d
+from .algorithm import RerankAlgorithm
 from .dense_index import DenseIndex
+from .multidim import MDBudgetExceeded
 from .onedim import OneDRerank
 from .session import Session
 
@@ -46,7 +48,7 @@ class _TAState:
     heap: list = field(default_factory=list)
 
 
-class MDTA:
+class MDTA(RerankAlgorithm):
     """The TA implementation of MD get-next (MD-TA)."""
 
     name = "md-ta"
@@ -60,9 +62,9 @@ class MDTA:
         delta: float = 0.02,
         max_queries: Optional[int] = None,
     ):
-        self.db = db
-        self.bounds = dict(bounds)
-        self.dense_index = dense_index if dense_index is not None else DenseIndex(db.name)
+        super().__init__(
+            db, bounds, dense_index=dense_index if dense_index is not None else DenseIndex(db.name)
+        )
         self.delta = delta
         self.max_queries = max_queries
         self._engine = OneDRerank(db, bounds, dense_index=self.dense_index, delta=delta)
@@ -75,7 +77,7 @@ class MDTA:
                 st.streams.append(_Stream(r1, Session(session.filter_spec)))
             return st
 
-        return session.ctx_named("ta", ranking, make)
+        return session.context("ta", ranking, make)
 
     def get_next(self, session: Session, ranking: LinearRanking) -> Optional[Row]:
         """Deliver the next-best undelivered tuple, or None when exhausted."""
@@ -110,7 +112,7 @@ class MDTA:
                 self.max_queries is not None
                 and self.db.stats.n_queries - budget_start > self.max_queries
             ):
-                raise RuntimeError("MD-TA exceeded query budget")
+                raise MDBudgetExceeded(self.db.stats.n_queries - budget_start, best)
             # one round of sorted access: advance the laggard stream first
             stream = min(live, key=lambda s: s.frontier)
             row = self._engine.get_next(stream.session, stream.ranking)
@@ -123,13 +125,3 @@ class MDTA:
                 heapq.heappush(st.heap, (ranking.key(row), row["tid"], row))
             amap = stream.ranking.attr_map(stream.ranking.attrs[0])
             stream.frontier = max(stream.frontier, amap.to_unit(row[amap.attr]))
-
-    def get_top_h(self, session: Session, ranking: LinearRanking, h: int) -> list[Row]:
-        """Deliver the next ``h`` tuples (repeated get-next)."""
-        out = []
-        for _ in range(h):
-            r = self.get_next(session, ranking)
-            if r is None:
-                break
-            out.append(r)
-        return out

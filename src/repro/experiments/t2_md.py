@@ -52,7 +52,7 @@ def run(spark=None, *, n: int = 2000, h: int = 5, k: int = 10, quick: bool = Fal
                 assert [r["tid"] for r in got] == truth, (fname, name)
                 queries = db.stats.since(before).n_queries
                 secs = round(t.seconds, 2)
-            except (MDBudgetExceeded, RuntimeError):
+            except MDBudgetExceeded:
                 queries, secs = f">{max_queries}", float("nan")
             rows.append(
                 {

@@ -100,9 +100,10 @@ def crawl(
                 continue
             unused_cat = next((a for a in db.cat_attrs if a not in cur.cats), None)
             if unused_cat is not None:
-                # constrain an untouched categorical facet so it becomes splittable
-                domain = _cat_domain(db, unused_cat)
-                nxt.append(QuerySpec(cur.ranges, {**cur.cats, unused_cat: frozenset(domain)}))
+                # constrain an untouched categorical facet to the site's full
+                # option list so it becomes splittable
+                domain = frozenset(db.cat_attrs[unused_cat])
+                nxt.append(QuerySpec(cur.ranges, {**cur.cats, unused_cat: domain}))
                 continue
             got = _peel_with_orders(db, cur, res)
             if not got:
@@ -112,22 +113,6 @@ def crawl(
         level = nxt
     res.n_queries = db.stats.n_queries - before
     return res
-
-
-def _cat_domain(db: WebDB, attr: str) -> list:
-    """The site's visible option list for a categorical facet."""
-    from .. import synth_data as sd
-
-    domains = {
-        "cut": sd.DIAMOND_CUTS,
-        "color": sd.DIAMOND_COLORS,
-        "clarity": sd.DIAMOND_CLARITIES,
-        "shape": sd.DIAMOND_SHAPES,
-        "zipcode": sd.HOUSE_ZIPS,
-    }
-    if attr not in domains:
-        raise CrawlError(f"no known facet domain for {attr}")
-    return domains[attr]
 
 
 def _peel_with_orders(db: WebDB, spec: QuerySpec, res: CrawlResult) -> bool:

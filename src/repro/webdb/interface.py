@@ -21,11 +21,10 @@ batch genuinely runs concurrently (thread pool over Spark actions).
 """
 from __future__ import annotations
 
-import heapq
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import pandas as pd
 
@@ -81,13 +80,15 @@ class WebDB(ABC):
         k: int,
         system_ranking: SystemRanking,
         numeric_attrs: Sequence[str],
-        cat_attrs: Sequence[str] = (),
+        cat_attrs: Mapping[str, Sequence] = {},
     ):
         self.name = name
         self.k = k
         self.system_ranking = system_ranking
         self.numeric_attrs = list(numeric_attrs)
-        self.cat_attrs = list(cat_attrs)
+        #: categorical facet -> the option list the search form shows (public
+        #: form metadata, like the attribute names)
+        self.cat_attrs = {a: list(opts) for a, opts in cat_attrs.items()}
         self.stats = QueryStats()
 
     # ----- the public interface -----------------------------------------
@@ -156,7 +157,7 @@ class LocalWebDB(WebDB):
         k: int,
         system_ranking: SystemRanking,
         numeric_attrs: Sequence[str],
-        cat_attrs: Sequence[str] = (),
+        cat_attrs: Mapping[str, Sequence] = {},
     ):
         super().__init__(name, k, system_ranking, numeric_attrs, cat_attrs)
         if self.id_col not in pdf.columns:
@@ -204,7 +205,7 @@ class SparkWebDB(WebDB):
         k: int,
         system_ranking: SystemRanking,
         numeric_attrs: Sequence[str],
-        cat_attrs: Sequence[str] = (),
+        cat_attrs: Mapping[str, Sequence] = {},
         n_threads: int = 8,
     ):
         super().__init__(name, k, system_ranking, numeric_attrs, cat_attrs)
@@ -246,16 +247,3 @@ class SparkWebDB(WebDB):
     def true_size(self) -> int:
         return self._n
 
-
-def merge_rows_by_id(*row_lists: Sequence[Row], id_col: str = "tid") -> dict:
-    """Union row lists into an id-keyed dict (later lists win on conflict)."""
-    out: dict = {}
-    for rows in row_lists:
-        for r in rows:
-            out[r[id_col]] = r
-    return out
-
-
-def top_h_rows(rows, ranking, h: int, *, id_col: str = "tid") -> list[Row]:
-    """Smallest-h rows by the user ranking's (score, tid) key — pure helper."""
-    return heapq.nsmallest(h, rows, key=lambda r: ranking.key(r, id_col))

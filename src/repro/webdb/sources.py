@@ -13,14 +13,20 @@ from .. import synth_data
 from .interface import LocalWebDB, SparkWebDB, WebDB
 from .ranking import SystemRanking
 
-#: Blue Nile search form: numeric sliders + categorical selects (section II-C)
+#: Blue Nile search form: numeric sliders + categorical selects with their
+#: option lists (section II-C)
 BLUENILE_NUMERIC = ["price", "carat", "depth", "table_pct", "lwr"]
-BLUENILE_CAT = ["cut", "color", "clarity", "shape"]
+BLUENILE_CAT = {
+    "cut": synth_data.DIAMOND_CUTS,
+    "color": synth_data.DIAMOND_COLORS,
+    "clarity": synth_data.DIAMOND_CLARITIES,
+    "shape": synth_data.DIAMOND_SHAPES,
+}
 BLUENILE_SYSTEM_RANK = SystemRanking("price")
 
 #: Zillow search form
 ZILLOW_NUMERIC = ["price", "sqft", "beds", "baths"]
-ZILLOW_CAT = ["zipcode"]
+ZILLOW_CAT = {"zipcode": synth_data.HOUSE_ZIPS}
 ZILLOW_SYSTEM_RANK = SystemRanking("price / 1000 + 0.05 * sqft")
 
 DEFAULT_SYSTEM_K = 10

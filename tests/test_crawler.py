@@ -69,21 +69,12 @@ class TestCostAccounting:
 
 
 class TestDegenerateRegions:
-    def _identical_db(self, n_dupes, k=10, with_cat=False):
+    def _identical_db(self, n_dupes, k=10):
         pdf = pd.DataFrame(
-            {
-                "tid": range(1, n_dupes + 1),
-                "x": [5.0] * n_dupes,
-                "c": (["a", "b"] * n_dupes)[:n_dupes] if with_cat else ["a"] * n_dupes,
-            }
+            {"tid": range(1, n_dupes + 1), "x": [5.0] * n_dupes, "c": ["a"] * n_dupes}
         )
         return LocalWebDB(
-            pdf,
-            name="dup",
-            k=k,
-            system_ranking=SystemRanking("x"),
-            numeric_attrs=["x"],
-            cat_attrs=["c"] if with_cat else [],
+            pdf, name="dup", k=k, system_ranking=SystemRanking("x"), numeric_attrs=["x"]
         )
 
     def test_point_region_peeled_with_dual_orders(self, bounds):
@@ -111,11 +102,25 @@ class TestDegenerateRegions:
         )
         db = LocalWebDB(
             pdf, name="dup", k=10, system_ranking=SystemRanking("x"),
-            numeric_attrs=["x"], cat_attrs=["c"],
+            numeric_attrs=["x"], cat_attrs={"c": ["a", "b"]},
         )
         spec = QuerySpec({"x": point(5.0)}, {"c": frozenset({"a", "b"})})
         res = crawl(db, spec, {"x": (5.0, 5.0)})
         assert set(res.rows) == set(range(1, 31))
+
+    def test_untouched_facet_constrained_from_form_options(self):
+        """A region unconstrained on a facet is first restricted to the
+        facet's full option list (read from the database's search form),
+        which then splits: 25 point-identical tuples, > 2k, become 13 + 12."""
+        pdf = pd.DataFrame(
+            {"tid": range(1, 26), "x": [5.0] * 25, "c": ["a", "b"] * 12 + ["a"]}
+        )
+        db = LocalWebDB(
+            pdf, name="dup", k=10, system_ranking=SystemRanking("x"),
+            numeric_attrs=["x"], cat_attrs={"c": ["a", "b"]},
+        )
+        res = crawl(db, QuerySpec({"x": point(5.0)}), {"x": (5.0, 5.0)})
+        assert set(res.rows) == set(range(1, 26))
 
     def test_lwr_point_via_other_attr_splits(self, db, bounds):
         """Dense lwr==1 region splits on price/carat — no peel needed."""
